@@ -47,12 +47,18 @@
 //                                              1..64; default 64 = full page)
 //     --allow-shrink                          (complete on survivors after a GPU fail-stop)
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "analysis/report.h"
 #include "collective/collective.h"
+#include "collective/rank_space.h"
 #include "compression/simd/dispatch.h"
 #include "core/system.h"
 #include "workloads/all_workloads.h"
@@ -97,76 +103,95 @@ struct Options {
   std::uint32_t coll_trunk_lpb{0};  ///< trunk-phase block size (0 = full page)
 };
 
+/// Parses all of `s` as an unsigned decimal integer in [lo, hi].
+bool parse_uint(const char* s, std::uint64_t lo, std::uint64_t hi, std::uint64_t* out) {
+  if (*s < '0' || *s > '9') return false;  // strtoull would take "-1" and " 1"
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (errno != 0 || *end != '\0' || v < lo || v > hi) return false;
+  *out = v;
+  return true;
+}
+
+/// Parses all of `s` as a finite number in [lo, hi].
+bool parse_real(const char* s, double lo, double hi, double* out) {
+  if (*s == '\0' || std::isspace(static_cast<unsigned char>(*s)) != 0) return false;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (errno != 0 || *end != '\0' || !(v >= lo && v <= hi)) return false;  // NaN fails too
+  *out = v;
+  return true;
+}
+
 bool parse(int argc, char** argv, Options& o) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+    // Each flag handler takes the next argument as its value and reports
+    // a missing or malformed one by name.
+    auto next = [&]() -> const char* {
+      if (i + 1 < argc) return argv[++i];
+      std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+      return nullptr;
+    };
+    auto bad = [&](const char* v) {
+      std::fprintf(stderr, "bad value for %s: %s\n", arg.c_str(), v);
+      return false;
+    };
+    auto text_flag = [&](std::string* field) {
+      const char* v = next();
+      if (v == nullptr) return false;
+      *field = v;
+      return true;
+    };
+    auto real_flag = [&](double* field, double lo, double hi) {
+      const char* v = next();
+      if (v == nullptr) return false;
+      return parse_real(v, lo, hi, field) || bad(v);
+    };
+    auto uint_flag = [&](auto* field, std::uint64_t lo, std::uint64_t hi) {
+      const char* v = next();
+      if (v == nullptr) return false;
+      std::uint64_t x = 0;
+      if (!parse_uint(v, lo, hi, &x)) return bad(v);
+      *field = static_cast<std::remove_pointer_t<decltype(field)>>(x);
+      return true;
+    };
+    constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+    bool ok = true;
     if (arg == "--workload") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.workload = v;
+      ok = text_flag(&o.workload);
     } else if (arg == "--policy") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.policy = v;
+      ok = text_flag(&o.policy);
     } else if (arg == "--lambda") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.lambda = std::atof(v);
+      ok = real_flag(&o.lambda, 0.0, 1e9);
     } else if (arg == "--scale") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.scale = std::atof(v);
+      ok = real_flag(&o.scale, std::numeric_limits<double>::min(), 1e6);
     } else if (arg == "--gpus") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.gpus = static_cast<std::uint32_t>(std::atoi(v));
+      ok = uint_flag(&o.gpus, kMinGpus, kMaxGpus);
     } else if (arg == "--bus") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.bus = static_cast<std::uint32_t>(std::atoi(v));
+      ok = uint_flag(&o.bus, 1, kU32Max);
     } else if (arg == "--samples") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.samples = static_cast<std::uint32_t>(std::atoi(v));
+      ok = uint_flag(&o.samples, 1, kU32Max);
     } else if (arg == "--running") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.running = static_cast<std::uint32_t>(std::atoi(v));
+      ok = uint_flag(&o.running, 0, kU32Max);
     } else if (arg == "--tier") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.tier = v;
+      ok = text_flag(&o.tier);
     } else if (arg == "--ber") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.ber = std::atof(v);
+      ok = real_flag(&o.ber, 0.0, 1.0);
     } else if (arg == "--drop") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.drop = std::atof(v);
+      ok = real_flag(&o.drop, 0.0, 1.0);
     } else if (arg == "--fabric") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.fabric = v;
+      ok = text_flag(&o.fabric);
     } else if (arg == "--topology") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.topology = v;
+      ok = text_flag(&o.topology);
     } else if (arg == "--gpus-per-node") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.gpus_per_node = static_cast<std::uint32_t>(std::atoi(v));
-      if (o.gpus_per_node == 0) return false;
+      ok = uint_flag(&o.gpus_per_node, 1, kMaxGpus);
     } else if (arg == "--internode-bw-ratio") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.internode_bw_ratio = static_cast<std::uint32_t>(std::atoi(v));
-      if (o.internode_bw_ratio == 0) return false;
+      ok = uint_flag(&o.internode_bw_ratio, 1, kU32Max);
     } else if (arg == "--fault-episodes") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.fault_episodes = v;
+      ok = text_flag(&o.fault_episodes);
     } else if (arg == "--allow-shrink") {
       o.allow_shrink = true;
     } else if (arg == "--characterize") {
@@ -174,73 +199,40 @@ bool parse(int argc, char** argv, Options& o) {
     } else if (arg == "--json") {
       o.json = true;
     } else if (arg == "--dump-trace") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.dump_trace = v;
+      ok = text_flag(&o.dump_trace);
     } else if (arg == "--trace-out") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.trace_out = v;
+      ok = text_flag(&o.trace_out);
     } else if (arg == "--trace-limit") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.trace_limit = static_cast<std::size_t>(std::atoll(v));
-      if (o.trace_limit == 0) return false;
+      ok = uint_flag(&o.trace_limit, 1, kU32Max);
     } else if (arg == "--simd") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.simd = v;
+      ok = text_flag(&o.simd);
     } else if (arg == "--shards") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.shards = static_cast<std::uint32_t>(std::atoi(v));
-      if (o.shards < 1 || o.shards > Engine::kMaxShards) return false;
+      ok = uint_flag(&o.shards, 1, Engine::kMaxShards);
     } else if (arg == "--collective") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.collective = v;
+      ok = text_flag(&o.collective);
     } else if (arg == "--coll-kb") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.coll_kb = static_cast<std::uint32_t>(std::atoi(v));
-      if (o.coll_kb == 0) return false;
+      ok = uint_flag(&o.coll_kb, 1, std::uint64_t{1} << 22);
     } else if (arg == "--coll-fill") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.coll_fill = v;
+      ok = text_flag(&o.coll_fill);
     } else if (arg == "--coll-op") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.coll_op = v;
+      ok = text_flag(&o.coll_op);
     } else if (arg == "--coll-window") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.coll_window = static_cast<std::uint32_t>(std::atoi(v));
-      if (o.coll_window == 0) return false;
+      ok = uint_flag(&o.coll_window, 1, kU32Max);
     } else if (arg == "--coll-lines-per-block") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.coll_lines_per_block = static_cast<std::uint32_t>(std::atoi(v));
-      if (o.coll_lines_per_block == 0) return false;
+      ok = uint_flag(&o.coll_lines_per_block, 1, kLinesPerPage);
     } else if (arg == "--coll-root") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.coll_root = static_cast<std::uint32_t>(std::atoi(v));
+      ok = uint_flag(&o.coll_root, 0, kMaxGpus - 1);
     } else if (arg == "--coll-algo") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.coll_algo = v;
+      ok = text_flag(&o.coll_algo);
     } else if (arg == "--coll-trunk-lines-per-block") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.coll_trunk_lpb = static_cast<std::uint32_t>(std::atoi(v));
-      if (o.coll_trunk_lpb == 0) return false;
+      ok = uint_flag(&o.coll_trunk_lpb, 1, kLinesPerPage);
     } else if (arg == "--help" || arg == "-h") {
       return false;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return false;
     }
+    if (!ok) return false;
   }
   return true;
 }
@@ -340,6 +332,10 @@ int main(int argc, char** argv) {
     CollectiveConfig ccfg;
     if (!parse_collective_kind(o.collective, &ccfg.kind)) {
       std::fprintf(stderr, "unknown collective: %s\n", o.collective.c_str());
+      return 2;
+    }
+    if (ccfg.kind == CollectiveKind::kBroadcast && o.coll_root >= o.gpus) {
+      std::fprintf(stderr, "--coll-root %u is not a rank of --gpus %u\n", o.coll_root, o.gpus);
       return 2;
     }
     if (!parse_collective_fill(o.coll_fill, &ccfg.fill)) {

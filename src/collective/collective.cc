@@ -227,8 +227,18 @@ class ChunkTask {
 /// populated; all-gather gives each member only its slot's chunk; broadcast
 /// populates the root alone. Re-running this before a retry restores the
 /// exact reference inputs, so a clean retry's digest is bit-exact.
+///
+/// Also builds `reference`, the host-side expected value of every u32
+/// element after the collective completes over `members` (identical at
+/// every member that defines it), from the fill values written here: the
+/// reduction over all members for all-reduce and reduce-scatter, slot c's
+/// chunk of members[c] for all-gather, the root's buffer for broadcast.
 void fill_inputs(MultiGpuSystem& sys, RankSpace& space, const CollectiveConfig& cfg,
-                 const std::vector<std::uint32_t>& members, std::size_t chunk_lines) {
+                 const std::vector<std::uint32_t>& members, std::size_t chunk_lines,
+                 std::vector<std::uint32_t>& reference) {
+  const bool reduce =
+      cfg.kind == CollectiveKind::kAllReduce || cfg.kind == CollectiveKind::kReduceScatter;
+  reference.assign(space.lines_per_rank() * kWordsPerLine, 0);
   const auto m = static_cast<std::uint32_t>(members.size());
   for (std::uint32_t c = 0; c < m; ++c) {
     const std::uint32_t r = members[c];
@@ -240,47 +250,30 @@ void fill_inputs(MultiGpuSystem& sys, RankSpace& space, const CollectiveConfig& 
     } else if (cfg.kind == CollectiveKind::kBroadcast && r != cfg.root) {
       continue;
     }
+    // Reductions fold every member into the reference; slot 0 spans the
+    // whole buffer, so it seeds every element.
+    const bool fold = reduce && c > 0;
     for (std::size_t l = lo; l < hi; ++l) {
       Line line;
       for (std::size_t w = 0; w < kWordsPerLine; ++w) {
-        store_le<std::uint32_t>(line, w * sizeof(std::uint32_t),
-                                fill_value(cfg.fill, cfg.seed, r, l * kWordsPerLine + w));
+        const std::size_t elem = l * kWordsPerLine + w;
+        const std::uint32_t v = fill_value(cfg.fill, cfg.seed, r, elem);
+        store_le<std::uint32_t>(line, w * sizeof(std::uint32_t), v);
+        reference[elem] = fold ? combine(cfg.op, reference[elem], v) : v;
       }
       sys.memory().write_line(space.line_addr(r, l), line);
     }
   }
 }
 
-/// Host-side reference for the u32 element `elem` of chunk slot `c` after
-/// the collective completes over `members` (identical at every member that
-/// defines it).
-std::uint32_t expected_value(const CollectiveConfig& cfg,
-                             const std::vector<std::uint32_t>& members, std::uint32_t c,
-                             std::uint64_t elem) noexcept {
-  switch (cfg.kind) {
-    case CollectiveKind::kAllGather:
-      return fill_value(cfg.fill, cfg.seed, members[c], elem);
-    case CollectiveKind::kBroadcast:
-      return fill_value(cfg.fill, cfg.seed, cfg.root, elem);
-    case CollectiveKind::kAllReduce:
-    case CollectiveKind::kReduceScatter: {
-      std::uint32_t v = fill_value(cfg.fill, cfg.seed, members[0], elem);
-      for (std::size_t i = 1; i < members.size(); ++i) {
-        v = combine(cfg.op, v, fill_value(cfg.fill, cfg.seed, members[i], elem));
-      }
-      return v;
-    }
-  }
-  return 0;
-}
-
-/// Compares every defined output region against the reference and folds
-/// the defined words into the data digest. Reduce-scatter defines only
-/// chunk slot c at member c; the other collectives define every member's
-/// full buffer. Non-members (fail-stopped ranks) hold no defined output.
+/// Compares every defined output region against `reference` and folds the
+/// defined words into the data digest, member by member. Reduce-scatter
+/// defines only chunk slot c at member c; the other collectives define
+/// every member's full buffer. Non-members (fail-stopped ranks) hold no
+/// defined output.
 bool verify_outputs(MultiGpuSystem& sys, RankSpace& space, const CollectiveConfig& cfg,
                     const std::vector<std::uint32_t>& members, std::size_t chunk_lines,
-                    FingerprintHasher& digest) {
+                    const std::vector<std::uint32_t>& reference, FingerprintHasher& digest) {
   const auto m = static_cast<std::uint32_t>(members.size());
   bool ok = true;
   for (std::uint32_t c = 0; c < m; ++c) {
@@ -293,11 +286,10 @@ bool verify_outputs(MultiGpuSystem& sys, RankSpace& space, const CollectiveConfi
     }
     for (std::size_t l = lo; l < hi; ++l) {
       const Line line = sys.memory().read_line(space.line_addr(r, l));
-      const auto chunk = static_cast<std::uint32_t>(l / chunk_lines);
       for (std::size_t w = 0; w < kWordsPerLine; ++w) {
         const std::uint32_t got = load_le<std::uint32_t>(line, w * sizeof(std::uint32_t));
         digest.add_u64(got);
-        ok = ok && got == expected_value(cfg, members, chunk, l * kWordsPerLine + w);
+        ok = ok && got == reference[l * kWordsPerLine + w];
       }
     }
   }
@@ -508,6 +500,7 @@ CollectiveOutcome run_collective(MultiGpuSystem& sys, const CollectiveConfig& cf
   CollectiveOutcome out;
   const Tick start = sys.engine().now();
   std::size_t chunk_lines = 0;
+  std::vector<std::uint32_t> reference;
   Tick last_done = start;
   bool shrunk = false;
   bool success = false;
@@ -519,7 +512,7 @@ CollectiveOutcome run_collective(MultiGpuSystem& sys, const CollectiveConfig& cf
     ++out.attempts;
     const auto m = static_cast<std::uint32_t>(members.size());
     chunk_lines = (cfg.lines_per_rank + m - 1) / m;
-    fill_inputs(sys, space, cfg, members, chunk_lines);
+    fill_inputs(sys, space, cfg, members, chunk_lines, reference);
 
     RunState rs{&sys, &space, cfg, &st, sys.engine().now(), sys.health()};
 
@@ -640,7 +633,8 @@ CollectiveOutcome run_collective(MultiGpuSystem& sys, const CollectiveConfig& cf
   out.surviving_ranks = std::move(members);
   if (success) {
     FingerprintHasher digest;
-    out.verified = verify_outputs(sys, space, cfg, out.surviving_ranks, chunk_lines, digest);
+    out.verified =
+        verify_outputs(sys, space, cfg, out.surviving_ranks, chunk_lines, reference, digest);
     out.data_digest = digest.value();
     out.partial = shrunk;
     out.status = (shrunk || out.attempts > 1) ? CollectiveStatus::kDegraded

@@ -51,7 +51,11 @@ enum class ReduceOp : std::uint8_t { kSum, kMax };
 /// Initial buffer contents, chosen to span the compressibility range:
 /// kZero (degenerate), kLowRange (small deltas, BDI/FPC-friendly — the
 /// default benchmark pattern), kRamp (structured words), kRandom
-/// (incompressible).
+/// (incompressible). u32 element e of rank r's buffer starts as
+///   kZero:     0
+///   kLowRange: 0x1000 + ((7e + 13r) & 0x3F)
+///   kRamp:     r * 0x01000000 + e            (mod 2^32)
+///   kRandom:   low 32 bits of splitmix64(seed ^ (r << 40) ^ e)
 enum class CollectiveFill : std::uint8_t { kZero, kLowRange, kRamp, kRandom };
 
 struct CollectiveConfig {
@@ -93,7 +97,9 @@ struct CollectiveOutcome {
   /// True when every defined output region matched the host-side reference.
   bool verified{false};
   /// FNV-1a over the defined output words — the cross-backend identity
-  /// anchor (compression on/off, scalar/SIMD must all agree).
+  /// anchor (compression on/off, scalar/SIMD must all agree). Words fold
+  /// as u64 (FingerprintHasher::add_u64), member by member in ascending
+  /// rank order, each member's defined words in element order.
   std::uint64_t data_digest{0};
   /// kCompleted: first attempt, full ring. kDegraded: verified, but only
   /// after retry and/or ring shrink. kFailed: no verified result.

@@ -32,6 +32,11 @@ struct CacheStats {
   }
 };
 
+/// Tags and LRU stamps live in two parallel arrays (16 B per way). A way is
+/// valid iff its stamp is newer than the last flush, so `invalidate_all`
+/// is O(1) and an invalid way always carries the smallest stamp in its
+/// set: the argmin-stamp victim fills an invalid way before evicting the
+/// true-LRU valid one.
 class Cache {
  public:
   /// `size_bytes` must be a multiple of `ways * kLineBytes`.
@@ -40,7 +45,8 @@ class Cache {
     MGCOMP_CHECK(ways_ > 0 && num_sets_ > 0);
     MGCOMP_CHECK_MSG(size_bytes == num_sets_ * ways_ * kLineBytes,
                      "cache size must be sets*ways*64");
-    lines_.resize(num_sets_ * ways_);
+    tags_.resize(num_sets_ * ways_);
+    stamps_.resize(num_sets_ * ways_);
   }
 
   /// Looks up the line containing `addr`; on miss, allocates it (evicting
@@ -49,12 +55,13 @@ class Cache {
   /// sector behavior closely enough for traffic purposes).
   bool access(Addr addr, bool is_write) {
     const Addr tag = line_base(addr);
-    const std::size_t set = static_cast<std::size_t>((tag / kLineBytes) % num_sets_);
-    Entry* base = &lines_[set * ways_];
+    const std::size_t first = set_of(tag) * ways_;
+    Addr* tags = &tags_[first];
+    std::uint64_t* stamps = &stamps_[first];
 
     for (std::uint32_t w = 0; w < ways_; ++w) {
-      if (base[w].valid && base[w].tag == tag) {
-        base[w].last_use = ++clock_;
+      if (tags[w] == tag && stamps[w] > flushed_at_) {
+        stamps[w] = ++clock_;
         if (is_write) {
           ++stats_.write_hits;
         } else {
@@ -64,19 +71,13 @@ class Cache {
       }
     }
 
-    // Miss: evict LRU (or fill an invalid way).
-    Entry* victim = &base[0];
+    // Miss: evict LRU (an invalid way, if any, has the smallest stamp).
+    std::uint32_t victim = 0;
     for (std::uint32_t w = 1; w < ways_; ++w) {
-      if (!base[w].valid) {
-        victim = &base[w];
-        break;
-      }
-      if (!victim->valid) break;
-      if (base[w].last_use < victim->last_use) victim = &base[w];
+      if (stamps[w] < stamps[victim]) victim = w;
     }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->last_use = ++clock_;
+    tags[victim] = tag;
+    stamps[victim] = ++clock_;
     if (is_write) {
       ++stats_.write_misses;
     } else {
@@ -88,35 +89,32 @@ class Cache {
   /// True if the line is present (no state change).
   [[nodiscard]] bool probe(Addr addr) const noexcept {
     const Addr tag = line_base(addr);
-    const std::size_t set = static_cast<std::size_t>((tag / kLineBytes) % num_sets_);
-    const Entry* base = &lines_[set * ways_];
+    const std::size_t first = set_of(tag) * ways_;
     for (std::uint32_t w = 0; w < ways_; ++w) {
-      if (base[w].valid && base[w].tag == tag) return true;
+      if (tags_[first + w] == tag && stamps_[first + w] > flushed_at_) return true;
     }
     return false;
   }
 
   /// Drops every line. GPUs flush caches at kernel boundaries, which is
   /// also what makes inter-kernel producer/consumer data visible remotely.
-  void invalidate_all() noexcept {
-    for (Entry& e : lines_) e.valid = false;
-  }
+  void invalidate_all() noexcept { flushed_at_ = clock_; }
 
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::uint32_t ways() const noexcept { return ways_; }
   [[nodiscard]] std::size_t num_sets() const noexcept { return num_sets_; }
 
  private:
-  struct Entry {
-    Addr tag{0};
-    std::uint64_t last_use{0};
-    bool valid{false};
-  };
+  [[nodiscard]] std::size_t set_of(Addr tag) const noexcept {
+    return static_cast<std::size_t>((tag / kLineBytes) % num_sets_);
+  }
 
   std::uint32_t ways_;
   std::size_t num_sets_;
-  std::vector<Entry> lines_;
+  std::vector<Addr> tags_;
+  std::vector<std::uint64_t> stamps_;  ///< last-use clock per way; valid iff > flushed_at_
   std::uint64_t clock_{0};
+  std::uint64_t flushed_at_{0};
   CacheStats stats_;
 };
 

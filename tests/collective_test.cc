@@ -3,12 +3,14 @@
 // determinism, golden fingerprints per SIMD backend, the RankSpace
 // placement contract, and fail-stop recovery (retry after flap, ring
 // shrink past a dead GPU, structured failure verdicts).
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/fingerprint.h"
 #include "collective/collective.h"
 #include "collective/rank_space.h"
 #include "compression/simd/dispatch.h"
@@ -101,6 +103,92 @@ TEST(CollectiveCorrectness, TinyWindowStillCompletes) {
   ccfg.window = 1;
   const CollectiveOutcome out = run_case(4, ccfg, make_adaptive_policy(AdaptiveParams{}));
   EXPECT_TRUE(out.verified);
+}
+
+// ---------------------------------------------------------------------------
+// Verification: a corrupted output word must fail the check, and the digest
+// must be the one the documented fills and fold order give.
+
+/// Runs `ccfg` on a 4-rank bus with an engine event, scheduled well past
+/// the collective's last pull, that flips one bit of rank 0's output word
+/// 0. That word is defined for every kind (reduce-scatter defines chunk 0
+/// at rank 0; broadcast's default root is rank 0).
+CollectiveOutcome run_with_flipped_word(const CollectiveConfig& ccfg, Tick flip_at) {
+  MultiGpuSystem sys(config_for(4, make_no_compression_policy()));
+  bool flipped = false;
+  sys.engine().schedule_at(flip_at, [&sys, &flipped, &ccfg] {
+    GlobalMemory& mem = sys.memory();
+    const std::string label = "coll:" + std::string(to_string(ccfg.kind));
+    for (const GlobalMemory::Region& region : mem.regions()) {
+      if (region.label != label) continue;
+      // Rank 0's line 0 is the first page of the span that GPU 0 owns.
+      Addr page = region.base;
+      while (sys.address_map().owner(page) != GpuId{0}) page += kPageBytes;
+      mem.store<std::uint32_t>(page, mem.load<std::uint32_t>(page) ^ 1u);
+      flipped = true;
+    }
+  });
+  CollectiveOutcome out = run_collective(sys, ccfg);
+  EXPECT_TRUE(flipped) << to_string(ccfg.kind);
+  return out;
+}
+
+TEST(CollectiveVerification, FlippedOutputWordFailsEveryKind) {
+  for (const CollectiveKind kind : kKinds) {
+    CollectiveConfig ccfg;
+    ccfg.kind = kind;
+    ccfg.lines_per_rank = 32;
+    const CollectiveOutcome clean = run_case(4, ccfg, make_no_compression_policy());
+    ASSERT_TRUE(clean.verified) << to_string(kind);
+    const CollectiveOutcome bad = run_with_flipped_word(ccfg, 2 * clean.run.exec_ticks + 1);
+    EXPECT_EQ(bad.status, CollectiveStatus::kCompleted) << to_string(kind);
+    EXPECT_FALSE(bad.verified) << to_string(kind);
+    EXPECT_NE(bad.data_digest, clean.data_digest) << to_string(kind);
+  }
+}
+
+/// u32 element `e` of rank `r`'s input, as documented on CollectiveFill.
+std::uint32_t documented_fill(CollectiveFill fill, std::uint32_t r, std::uint64_t e) {
+  switch (fill) {
+    case CollectiveFill::kLowRange:
+      return 0x1000 + static_cast<std::uint32_t>((7 * e + 13 * r) & 0x3F);
+    case CollectiveFill::kRamp:
+      return r * 0x01000000u + static_cast<std::uint32_t>(e);
+    default:
+      ADD_FAILURE() << "fill not modelled here";
+      return 0;
+  }
+}
+
+TEST(CollectiveVerification, SixteenRankAllReduceDigestMatchesDocumentedFills) {
+  constexpr std::uint32_t kRanks = 16;
+  constexpr std::size_t kLines = 40;  // ragged: 3-line chunks, the last one short
+  constexpr std::size_t kWords = kLines * kLineBytes / sizeof(std::uint32_t);
+  for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kMax}) {
+    for (const CollectiveFill fill : {CollectiveFill::kLowRange, CollectiveFill::kRamp}) {
+      CollectiveConfig ccfg;
+      ccfg.op = op;
+      ccfg.fill = fill;
+      ccfg.lines_per_rank = kLines;
+      const CollectiveOutcome out =
+          run_case(kRanks, ccfg, make_adaptive_policy(AdaptiveParams{}));
+      std::vector<std::uint32_t> reduced(kWords);
+      for (std::size_t e = 0; e < kWords; ++e) {
+        std::uint32_t v = documented_fill(fill, 0, e);
+        for (std::uint32_t r = 1; r < kRanks; ++r) {
+          const std::uint32_t x = documented_fill(fill, r, e);
+          v = op == ReduceOp::kSum ? v + x : std::max(v, x);
+        }
+        reduced[e] = v;
+      }
+      FingerprintHasher digest;
+      for (std::uint32_t r = 0; r < kRanks; ++r) {
+        for (const std::uint32_t v : reduced) digest.add_u64(v);
+      }
+      EXPECT_TRUE(out.verified) << to_string(op) << " " << to_string(fill);
+      EXPECT_EQ(out.data_digest, digest.value()) << to_string(op) << " " << to_string(fill);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <random>
+#include <vector>
 
 #include "fabric/bus.h"
 #include "memory/address_map.h"
@@ -327,6 +329,109 @@ TEST(Cache, SetIndexingSeparatesLines) {
   // Lines mapping to different sets never evict each other.
   for (Addr a = 0; a < 64 * kLineBytes; a += kLineBytes) c.access(a, false);
   for (Addr a = 0; a < 64 * kLineBytes; a += kLineBytes) EXPECT_TRUE(c.probe(a));
+}
+
+/// The tag store as it was before the O(1) flush: one {tag, stamp, valid}
+/// entry per way, a flush that clears every valid bit, and a victim scan
+/// that takes the first invalid way or else the least recently used one.
+class ReferenceCache {
+ public:
+  ReferenceCache(std::size_t size_bytes, std::uint32_t ways)
+      : ways_(ways),
+        num_sets_(size_bytes / (static_cast<std::size_t>(ways) * kLineBytes)),
+        lines_(num_sets_ * ways_) {}
+
+  bool access(Addr addr) {
+    const Addr tag = line_base(addr);
+    Entry* base = &lines_[set_of(tag) * ways_];
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      if (base[w].valid && base[w].tag == tag) {
+        base[w].last_use = ++clock_;
+        return true;
+      }
+    }
+    Entry* victim = &base[0];
+    for (std::uint32_t w = 1; w < ways_; ++w) {
+      if (!base[w].valid) {
+        victim = &base[w];
+        break;
+      }
+      if (!victim->valid) break;
+      if (base[w].last_use < victim->last_use) victim = &base[w];
+    }
+    *victim = Entry{tag, ++clock_, true};
+    return false;
+  }
+
+  [[nodiscard]] bool probe(Addr addr) const {
+    const Addr tag = line_base(addr);
+    const Entry* base = &lines_[set_of(tag) * ways_];
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      if (base[w].valid && base[w].tag == tag) return true;
+    }
+    return false;
+  }
+
+  void invalidate_all() {
+    for (Entry& e : lines_) e.valid = false;
+  }
+
+ private:
+  [[nodiscard]] std::size_t set_of(Addr tag) const {
+    return static_cast<std::size_t>((tag / kLineBytes) % num_sets_);
+  }
+
+  struct Entry {
+    Addr tag{0};
+    std::uint64_t last_use{0};
+    bool valid{false};
+  };
+  std::uint32_t ways_;
+  std::size_t num_sets_;
+  std::vector<Entry> lines_;
+  std::uint64_t clock_{0};
+};
+
+// Randomized differential check: every access's hit/miss verdict, every
+// probe and the final counters match the reference model across
+// geometries, with flushes interleaved at random points (including
+// back-to-back flushes and flushes of an untouched cache).
+TEST(Cache, MatchesReferenceModelUnderRandomAccessesAndFlushes) {
+  struct Geometry {
+    std::size_t sets;
+    std::uint32_t ways;
+  };
+  constexpr Geometry kGeometries[] = {{1, 1}, {1, 4}, {4, 2}, {8, 8}, {16, 16}, {64, 4}};
+  for (const Geometry g : kGeometries) {
+    const std::size_t size = g.sets * g.ways * kLineBytes;
+    Cache cache(size, g.ways);
+    ReferenceCache ref(size, g.ways);
+    std::mt19937_64 rng(g.sets * 131 + g.ways);
+    // Twice as many distinct lines as the cache holds: a mix of hits,
+    // conflict misses and re-fetches after eviction.
+    std::uniform_int_distribution<Addr> line(0, 2 * g.sets * g.ways - 1);
+    std::uint64_t hits = 0;
+    std::uint64_t accesses = 0;
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t op = rng() % 100;
+      const Addr addr = line(rng) * kLineBytes + rng() % kLineBytes;
+      if (op < 2) {
+        cache.invalidate_all();
+        ref.invalidate_all();
+      } else if (op < 12) {
+        ASSERT_EQ(cache.probe(addr), ref.probe(addr)) << "op " << i;
+      } else {
+        const bool hit = cache.access(addr, (op & 1) != 0);
+        ASSERT_EQ(hit, ref.access(addr)) << "op " << i << ", " << g.sets << "x" << g.ways;
+        hits += hit ? 1 : 0;
+        ++accesses;
+      }
+    }
+    EXPECT_EQ(cache.stats().accesses(), accesses);
+    EXPECT_EQ(cache.stats().read_hits + cache.stats().write_hits, hits);
+    EXPECT_GT(hits, 0u);
+    EXPECT_LT(hits, accesses);
+  }
 }
 
 // ---------------------------------------------------------------------------
